@@ -110,6 +110,18 @@ fn time_configs(
         .collect()
 }
 
+/// Asserts two outputs agree on everything deterministic: the subgraphs and every
+/// `MatchStats` field except `chunks_stolen`, which depends on steal timing and so
+/// differs between runs on a multi-core machine.
+fn assert_same_output(a: &MatchOutput, b: &MatchOutput, message: &str) {
+    assert_eq!(a.subgraphs, b.subgraphs, "{message}");
+    let mut sa = a.stats.clone();
+    let mut sb = b.stats.clone();
+    sa.chunks_stolen = 0;
+    sb.chunks_stolen = 0;
+    assert_eq!(sa, sb, "{message}");
+}
+
 fn measure(name: &'static str, w: &BenchWorkload, seconds: f64, out: &MatchOutput) -> ConfigResult {
     ConfigResult {
         name,
@@ -1240,10 +1252,10 @@ fn main() {
                 service.apply(delta).expect("stream validates");
                 for (id, session) in ids.iter().zip(sessions.iter_mut()) {
                     session.apply(delta).expect("stream validates");
-                    assert_eq!(
+                    assert_same_output(
                         service.output(*id).unwrap(),
                         session.output(),
-                        "service diverged from its independent session"
+                        "service diverged from its independent session",
                     );
                 }
             }

@@ -10,6 +10,42 @@ use crate::relation::MatchRelation;
 use crate::simulation::{initial_candidates, refine, refine_with, RefineMode, RefineStrategy};
 use ssim_graph::{AdjView, Graph, GraphView, NodeId, Pattern};
 
+/// The label candidates of [`initial_candidates`], pruned by neighbour-label signatures:
+/// the start relation of every whole-graph dual simulation run by the worklist engine.
+///
+/// A candidate `v ∈ sim(u)` is kept only when [`AdjView::neighbor_label_signature`] says
+/// `v` may have an out-neighbour with the label of each pattern child of `u` and an
+/// in-neighbour with the label of each pattern parent — `u`'s own signature in the
+/// pattern graph. Every pair of the maximum dual simulation has a witness neighbour with
+/// the right label for each pattern edge, so the filter never drops one, and refinement
+/// returns the greatest fixpoint inside its start relation: the result is unchanged.
+/// Views without an index (restricted views, compact balls) keep every label candidate.
+pub fn dual_candidates<V: AdjView>(pattern: &Pattern, view: &V) -> MatchRelation {
+    let mut relation = MatchRelation::empty(pattern.node_count(), view.id_space());
+    for u in pattern.nodes() {
+        let need = pattern.graph().label_signature(u);
+        for v in view.nodes_with_label(pattern.label(u)) {
+            if view.neighbor_label_signature(v).covers(need) {
+                relation.insert(u, v);
+            }
+        }
+    }
+    relation
+}
+
+/// The start relation `strategy` refines from: [`dual_candidates`] for the worklist
+/// engine, the plain label candidates for the naive oracle, which stays unfiltered.
+pub(crate) fn start_relation<V: AdjView>(
+    pattern: &Pattern,
+    view: &V,
+    strategy: RefineStrategy,
+) -> MatchRelation {
+    match strategy {
+        RefineStrategy::Worklist => dual_candidates(pattern, view),
+        RefineStrategy::NaiveFixpoint => initial_candidates(pattern, view),
+    }
+}
+
 /// Computes the maximum dual-simulation relation of `pattern` over `view`
 /// (procedure `DualSim` of the paper).
 ///
@@ -19,7 +55,7 @@ pub fn dual_simulation_view<V: AdjView>(pattern: &Pattern, view: &V) -> Option<M
         pattern,
         view,
         RefineMode::ChildrenAndParents,
-        initial_candidates(pattern, view),
+        dual_candidates(pattern, view),
     );
     relation.filter(MatchRelation::is_total)
 }
@@ -30,18 +66,18 @@ pub fn dual_simulation(pattern: &Pattern, data: &Graph) -> Option<MatchRelation>
 }
 
 /// [`dual_simulation`] with an explicit [`RefineStrategy`] — `NaiveFixpoint` is the seed's
-/// re-scan loop, kept as the equivalence oracle for tests and ablation benches.
+/// re-scan loop, kept as the equivalence oracle for tests and ablation benches. It starts
+/// from the plain label candidates; `Worklist` starts from [`dual_candidates`].
 pub fn dual_simulation_with(
     pattern: &Pattern,
     data: &Graph,
     strategy: RefineStrategy,
 ) -> Option<MatchRelation> {
-    let view = GraphView::full(data);
     let relation = refine_with(
         pattern,
-        &view,
+        data,
         RefineMode::ChildrenAndParents,
-        initial_candidates(pattern, &view),
+        start_relation(pattern, data, strategy),
         strategy,
     );
     relation.filter(MatchRelation::is_total)

@@ -42,11 +42,12 @@
 //! with the other four engine axes pinned and composed.
 
 use crate::ball::BallSubstrate;
+use crate::dual::start_relation;
 use crate::dual_filter::refine_suspects;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
-use crate::simulation::{initial_candidates, refine_with, RefineMode, RefineStrategy};
+use crate::simulation::{refine_with, RefineMode, RefineStrategy};
 use crate::strong::{
     distinct_indices, match_with_prepared, match_with_prepared_counted, translate_to_outer,
     MatchConfig, MatchOutput, MatchStats,
@@ -105,7 +106,7 @@ pub fn global_fixpoint<V: AdjView>(
     data: &V,
     strategy: RefineStrategy,
 ) -> MatchRelation {
-    let start = initial_candidates(pattern, data);
+    let start = start_relation(pattern, data, strategy);
     let rel = refine_with(
         pattern,
         data,

@@ -70,7 +70,7 @@ pub mod topology;
 pub mod warm;
 
 pub use ball::{locality_center_order, BallForest, BallMove, BallStrategy, BallSubstrate};
-pub use dual::{dual_simulates, dual_simulation, dual_simulation_with};
+pub use dual::{dual_candidates, dual_simulates, dual_simulation, dual_simulation_with};
 pub use incremental::{IncrementalMatcher, PreparedGlobal, UpdatePlan, UpdateStats};
 pub use match_graph::{MatchGraph, PerfectSubgraph};
 pub use minimize::minimize_pattern;

@@ -28,6 +28,32 @@ impl MinimizedPattern {
     pub fn reduced(&self) -> bool {
         self.pattern.size() < self.original_size
     }
+
+    /// For every class node of `Qm`, the original pattern nodes it stands for, ascending.
+    pub fn class_members(&self) -> Vec<Vec<NodeId>> {
+        let mut members = vec![Vec::new(); self.pattern.node_count()];
+        for (original_index, class) in self.class_of.iter().enumerate() {
+            members[class.index()].push(NodeId::from_index(original_index));
+        }
+        members
+    }
+}
+
+/// Re-expresses `(class node, data node)` pairs over `Qm` as pairs over the original
+/// pattern nodes each class stands for, sorted: how a matcher that ran on the minimised
+/// pattern reports its relation against the caller's pattern.
+pub fn expand_class_pairs(
+    pairs: &[(NodeId, NodeId)],
+    class_members: &[Vec<NodeId>],
+) -> Vec<(NodeId, NodeId)> {
+    let mut expanded = Vec::with_capacity(pairs.len());
+    for &(class_node, data_node) in pairs {
+        for &original in &class_members[class_node.index()] {
+            expanded.push((original, data_node));
+        }
+    }
+    expanded.sort_unstable();
+    expanded
 }
 
 /// Runs Algorithm `minQ`: computes the minimum pattern equivalent to `pattern` under dual
@@ -144,6 +170,16 @@ mod tests {
         assert_eq!(minimized.class_of[4], minimized.class_of[5]);
         assert_eq!(minimized.class_of[6], minimized.class_of[7]);
         assert_ne!(minimized.class_of[0], minimized.class_of[1]);
+        let members = minimized.class_members();
+        assert_eq!(
+            members[minimized.class_of[2].index()],
+            vec![NodeId(2), NodeId(3)]
+        );
+        let class_b = minimized.class_of[2];
+        assert_eq!(
+            expand_class_pairs(&[(class_b, NodeId(9))], &members),
+            vec![(NodeId(2), NodeId(9)), (NodeId(3), NodeId(9))]
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::dual::{dual_simulation_with, refine_dual_with};
 use crate::dual_filter::refine_projected;
 use crate::incremental::{PreparedGlobal, UpdatePlan};
 use crate::match_graph::{extract_max_perfect_subgraph, PerfectSubgraph};
-use crate::minimize::minimize_pattern;
+use crate::minimize::{expand_class_pairs, minimize_pattern};
 use crate::parallel::{
     available_threads, chunk_plan, effective_workers, panic_message, par_workers, StealScheduler,
 };
@@ -534,10 +534,7 @@ fn match_impl(
     let (effective_pattern, radius) = if config.minimize_query {
         minimized = minimize_pattern(pattern);
         stats.pattern_sizes = Some((minimized.original_size, minimized.pattern.size()));
-        class_members = vec![Vec::new(); minimized.pattern.node_count()];
-        for (original_index, class) in minimized.class_of.iter().enumerate() {
-            class_members[class.index()].push(NodeId::from_index(original_index));
-        }
+        class_members = minimized.class_members();
         let radius = config
             .radius_override
             .unwrap_or(minimized.original_diameter);
@@ -797,14 +794,8 @@ fn match_impl(
                         // Express the relation in terms of the caller's pattern nodes when the
                         // matcher ran on the minimised pattern.
                         if config.minimize_query {
-                            let mut expanded = Vec::with_capacity(subgraph.relation.len());
-                            for (class_node, data_node) in &subgraph.relation {
-                                for &original in &class_members[class_node.index()] {
-                                    expanded.push((original, *data_node));
-                                }
-                            }
-                            expanded.sort_unstable();
-                            subgraph.relation = expanded;
+                            subgraph.relation =
+                                expand_class_pairs(&subgraph.relation, &class_members);
                         }
                         result.subgraphs.push(subgraph);
                     }

@@ -47,7 +47,7 @@ use ssim_core::ball::{locality_center_order, BallForest, BallSubstrate};
 use ssim_core::dual::dual_simulation_with;
 use ssim_core::incremental::{PreparedGlobal, UpdatePlan};
 use ssim_core::match_graph::PerfectSubgraph;
-use ssim_core::minimize::minimize_pattern;
+use ssim_core::minimize::{expand_class_pairs, minimize_pattern};
 use ssim_core::parallel::{
     chunk_plan, effective_workers, panic_message, par_workers, StealScheduler,
 };
@@ -533,10 +533,14 @@ fn distributed_core(
     // Coordinator step 1: optionally minimise the query, then "broadcast" it. The ball
     // radius stays the diameter of the original query (Lemma 3).
     let radius = pattern.diameter();
-    let effective_pattern = if config.minimize_query {
-        minimize_pattern(pattern).pattern
+    // Rows are assembled over the caller's pattern: each class node of the minimised
+    // query expands back to the original nodes it stands for.
+    let (effective_pattern, class_members) = if config.minimize_query {
+        let minimized = minimize_pattern(pattern);
+        let members = minimized.class_members();
+        (minimized.pattern, Some(members))
     } else {
-        pattern.clone()
+        (pattern.clone(), None)
     };
 
     // Coordinator step 1b (dual filter): the global dual-simulation relation — computed
@@ -710,6 +714,11 @@ fn distributed_core(
             traffic.balls_per_site[site] += balls;
         }
         subgraphs.extend(report.subgraphs);
+    }
+    if let Some(members) = &class_members {
+        for subgraph in &mut subgraphs {
+            subgraph.relation = expand_class_pairs(&subgraph.relation, members);
+        }
     }
     subgraphs.sort_by_key(|s| s.center);
     Ok(DistributedOutput {

@@ -9,6 +9,7 @@ use crate::bitset::BitSet;
 use crate::error::GraphError;
 use crate::labels::Label;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node inside a [`Graph`]: a dense index in `0..node_count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,6 +52,64 @@ pub struct Graph {
     /// Entries are sorted by label so lookups are binary searches and iteration order is
     /// deterministic (a `HashMap` here made candidate seeding order run-dependent).
     label_index: Vec<(Label, Vec<NodeId>)>,
+    /// Per-node neighbour-label signatures, built on first use (see
+    /// [`Graph::label_signature`]).
+    signatures: SignatureIndex,
+}
+
+/// The labels around one node, folded into one word per direction: bit `l % 64` of
+/// `children` (`parents`) is set when some out-neighbour (in-neighbour) carries label `l`.
+///
+/// A signature answers "can this node have a neighbour labelled `l`?" in one AND. Labels
+/// that share a bit collide, so a set bit only says *maybe*; a clear bit says *no*. That
+/// one-sidedness is what makes it a sound prefilter for dual-simulation candidates
+/// (`ssim_core::dual::dual_candidates`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelSignature {
+    /// Bits of the out-neighbours' labels.
+    pub children: u64,
+    /// Bits of the in-neighbours' labels.
+    pub parents: u64,
+}
+
+impl LabelSignature {
+    /// "No information": every bit set, so every [`LabelSignature::covers`] test passes.
+    pub const ANY: LabelSignature = LabelSignature {
+        children: u64::MAX,
+        parents: u64::MAX,
+    };
+
+    /// The signature bit of `label`.
+    #[inline]
+    pub(crate) fn bit(label: Label) -> u64 {
+        1u64 << (label.0 % 64)
+    }
+
+    /// Returns `true` when every bit of `need` is set in `self`, in both directions.
+    #[inline]
+    pub fn covers(self, need: LabelSignature) -> bool {
+        self.children & need.children == need.children
+            && self.parents & need.parents == need.parents
+    }
+}
+
+/// The lazily built signature array, 16 B per node. It is derived from the adjacency, so
+/// equality ignores it and `Debug` does not print it.
+#[derive(Clone, Default)]
+struct SignatureIndex(OnceLock<Vec<LabelSignature>>);
+
+impl PartialEq for SignatureIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SignatureIndex {}
+
+impl fmt::Debug for SignatureIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Graph {
@@ -69,6 +128,7 @@ impl Graph {
             rev_offsets,
             rev_targets,
             label_index,
+            signatures: SignatureIndex::default(),
         }
     }
 
@@ -91,6 +151,7 @@ impl Graph {
             rev_offsets,
             rev_targets,
             label_index,
+            signatures: SignatureIndex::default(),
         }
     }
 
@@ -196,6 +257,23 @@ impl Graph {
         self.rev_targets[self.rev_offsets[i]..self.rev_offsets[i + 1]]
             .iter()
             .copied()
+    }
+
+    /// Neighbour-label signature of `node`. The index behind it is built on the first
+    /// call, once per graph, in `O(|V| + |E|)`, and costs 16 B per node.
+    #[inline]
+    pub fn label_signature(&self, node: NodeId) -> LabelSignature {
+        self.signatures.0.get_or_init(|| self.build_signatures())[node.index()]
+    }
+
+    fn build_signatures(&self) -> Vec<LabelSignature> {
+        let fold = |m: u64, w: NodeId| m | LabelSignature::bit(self.label(w));
+        self.nodes()
+            .map(|v| LabelSignature {
+                children: self.out_neighbors(v).fold(0, fold),
+                parents: self.in_neighbors(v).fold(0, fold),
+            })
+            .collect()
     }
 
     /// Out-degree of `node`.
@@ -524,6 +602,58 @@ mod tests {
         );
         // (0,3) is not an edge of g, so it is dropped.
         assert_eq!(sub.edge_count(), 2);
+    }
+
+    #[test]
+    fn label_signatures_fold_neighbour_labels_mod_64() {
+        // 0 -> 1, 0 -> 2, 2 -> 2; label 65 shares label 1's bit.
+        let build = || {
+            Graph::from_edges(
+                vec![Label(1), Label(65), Label(3)],
+                &[(0, 1), (0, 2), (2, 2)],
+            )
+            .unwrap()
+        };
+        let g = build();
+        let sig = |v: u32| g.label_signature(NodeId(v));
+        assert_eq!(
+            sig(0),
+            LabelSignature {
+                children: 1 << 1 | 1 << 3,
+                parents: 0
+            }
+        );
+        assert_eq!(
+            sig(1),
+            LabelSignature {
+                children: 0,
+                parents: 1 << 1
+            }
+        );
+        assert_eq!(
+            sig(2),
+            LabelSignature {
+                children: 1 << 3,
+                parents: 1 << 1 | 1 << 3
+            }
+        );
+        assert_eq!(
+            LabelSignature::bit(Label(65)),
+            LabelSignature::bit(Label(1))
+        );
+        assert!(sig(0).covers(LabelSignature {
+            children: 1 << 3,
+            parents: 0
+        }));
+        assert!(!sig(0).covers(LabelSignature {
+            children: 0,
+            parents: 1 << 1
+        }));
+        assert!(LabelSignature::ANY.covers(sig(2)));
+        // Equality and Debug ignore whether the index has been built.
+        let twin = build();
+        assert_eq!(g, twin);
+        assert_eq!(format!("{g:?}"), format!("{twin:?}"));
     }
 
     #[test]

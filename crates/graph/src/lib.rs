@@ -60,7 +60,7 @@ pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use delta::{DeltaTarget, GraphDelta};
 pub use error::GraphError;
-pub use graph::{Graph, NodeId};
+pub use graph::{Graph, LabelSignature, NodeId};
 pub use labels::{Label, LabelInterner};
 pub use overlay::{CompactionPolicy, GraphEpoch, OverlayGraph, SnapshotHandle, VersionedGraph};
 pub use pattern::Pattern;

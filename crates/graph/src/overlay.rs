@@ -29,7 +29,7 @@
 
 use crate::delta::{merge_patched, DeltaTarget};
 use crate::error::GraphError;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, LabelSignature, NodeId};
 use crate::labels::Label;
 use crate::view::AdjView;
 use crate::GraphDelta;
@@ -513,6 +513,25 @@ impl AdjView for OverlayGraph {
     fn nodes_with_label(&self, label: Label) -> impl Iterator<Item = NodeId> + '_ {
         OverlayGraph::nodes_with_label(self, label).iter().copied()
     }
+
+    /// The base signature plus the labels of the node's inserted patch entries.
+    /// Tombstones are not subtracted: a stale bit only weakens the filter, so the
+    /// signature stays a superset of the merged neighbourhood's labels.
+    #[inline]
+    fn neighbor_label_signature(&self, node: NodeId) -> LabelSignature {
+        let inserted = |table: &PatchTable| {
+            table.get(node).map_or(0, |p| {
+                p.ins
+                    .iter()
+                    .fold(0, |m, &w| m | LabelSignature::bit(self.label(w)))
+            })
+        };
+        let base = self.base.label_signature(node);
+        LabelSignature {
+            children: base.children | inserted(&self.fwd),
+            parents: base.parents | inserted(&self.rev),
+        }
+    }
 }
 
 impl DeltaTarget for OverlayGraph {
@@ -736,6 +755,28 @@ mod tests {
             }
         }
         assert_eq!(&overlay.to_graph(), flat);
+    }
+
+    #[test]
+    fn signatures_add_inserted_labels_and_keep_stale_tombstone_bits() {
+        let sig = |o: &OverlayGraph, v: u32| AdjView::neighbor_label_signature(o, NodeId(v));
+        let bit = |l: u32| LabelSignature::bit(Label(l));
+        let mut overlay = OverlayGraph::with_policy(diamond(), CompactionPolicy::never());
+        assert_eq!(sig(&overlay, 0), overlay.base().label_signature(NodeId(0)));
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(NodeId(0), NodeId(3));
+        delta.delete_edge(NodeId(1), NodeId(3));
+        overlay.apply_delta(&delta).unwrap();
+        // 0 -> 3 adds label 2 to 0's children and label 0 to 3's parents.
+        assert_eq!(sig(&overlay, 0).children, bit(1) | bit(2));
+        assert_eq!(sig(&overlay, 3).parents, bit(0) | bit(1));
+        // The tombstoned 1 -> 3 leaves 1's child bit set: stale, but sound.
+        assert_eq!(sig(&overlay, 1).children, bit(2));
+        assert_eq!(overlay.to_graph().label_signature(NodeId(1)).children, 0);
+        // Compaction rebuilds the base, whose fresh index is exact again.
+        overlay.compact();
+        assert_eq!(sig(&overlay, 1).children, 0);
+        assert_eq!(sig(&overlay, 0).children, bit(1) | bit(2));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! node set).
 
 use crate::bitset::BitSet;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, LabelSignature, NodeId};
 use crate::labels::Label;
 
 /// Node-addressed adjacency that the matching algorithms run over.
@@ -37,6 +37,14 @@ pub trait AdjView {
     /// [`GraphView`] yields ascending ids, while a compact ball yields its BFS-position
     /// local ids in ascending *global* order — callers must not rely on sortedness.
     fn nodes_with_label(&self, label: Label) -> impl Iterator<Item = NodeId> + '_;
+
+    /// A [`LabelSignature`] covering the labels of `node`'s neighbours inside the view.
+    /// Extra set bits are allowed (they only weaken a filter); a missing bit is not. The
+    /// default, [`LabelSignature::ANY`], carries no information and passes every node.
+    #[inline]
+    fn neighbor_label_signature(&self, _node: NodeId) -> LabelSignature {
+        LabelSignature::ANY
+    }
 }
 
 /// A flat [`Graph`] is itself an unrestricted adjacency view — equivalent to
@@ -67,6 +75,11 @@ impl AdjView for Graph {
     #[inline]
     fn nodes_with_label(&self, label: Label) -> impl Iterator<Item = NodeId> + '_ {
         Graph::nodes_with_label(self, label).iter().copied()
+    }
+
+    #[inline]
+    fn neighbor_label_signature(&self, node: NodeId) -> LabelSignature {
+        self.label_signature(node)
     }
 }
 
@@ -216,6 +229,15 @@ impl AdjView for GraphView<'_> {
     #[inline]
     fn nodes_with_label(&self, label: Label) -> impl Iterator<Item = NodeId> + '_ {
         GraphView::nodes_with_label(self, label)
+    }
+
+    /// The graph's index on a full view; a restricted view keeps the default.
+    #[inline]
+    fn neighbor_label_signature(&self, node: NodeId) -> LabelSignature {
+        match self.restriction {
+            None => self.graph.label_signature(node),
+            Some(_) => LabelSignature::ANY,
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! The paper's data-locality argument: strong simulation can be evaluated per ball, so a
 //! partitioned evaluation that ships only boundary balls reproduces the centralized result.
 
+use ssim_core::minimize::minimize_pattern;
 use ssim_core::strong::{strong_simulation, MatchConfig};
 use ssim_datasets::paper;
 use ssim_datasets::patterns::extract_pattern;
@@ -11,6 +12,7 @@ use ssim_datasets::synthetic::{synthetic, SyntheticConfig};
 use ssim_distributed::{
     distributed_strong_simulation, DistributedConfig, GraphPartition, PartitionStrategy,
 };
+use ssim_graph::{Graph, Label, Pattern};
 
 #[test]
 fn distributed_matches_centralized_across_sites_and_strategies() {
@@ -66,6 +68,79 @@ fn distributed_matches_centralized_on_generated_workloads() {
         )
         .expect("valid distributed config");
         assert_eq!(central.matched_nodes(), out.matched_nodes(), "seed={seed}");
+    }
+}
+
+/// Regression: with `minimize_query` on, the sites match the minimised pattern, and the
+/// coordinator must expand each class node back to the caller's pattern nodes. Before
+/// the fix, rows kept their nodes and edges but reported relation pairs over class
+/// nodes, so they differed from the centralized rows.
+#[test]
+fn minimized_rows_report_relation_over_callers_pattern() {
+    // R -> A, R -> B1 -> C1 -> D1, R -> B2 -> C2 -> D2: the two B-C-D branches are
+    // dual-simulation equivalent and collapse into one.
+    let pattern = Pattern::from_edges(
+        vec![
+            Label(0),
+            Label(1),
+            Label(2),
+            Label(2),
+            Label(3),
+            Label(3),
+            Label(4),
+            Label(4),
+        ],
+        &[(0, 1), (0, 2), (0, 3), (2, 4), (3, 5), (4, 6), (5, 7)],
+    )
+    .unwrap();
+    assert!(minimize_pattern(&pattern).reduced());
+    // Two copies of one branch-shaped match plus a dangling B, linked through A.
+    let data = Graph::from_edges(
+        vec![
+            Label(0),
+            Label(1),
+            Label(2),
+            Label(3),
+            Label(4),
+            Label(2),
+            Label(0),
+            Label(2),
+            Label(3),
+            Label(4),
+        ],
+        &[
+            (0, 1),
+            (0, 2),
+            (2, 3),
+            (3, 4),
+            (0, 5),
+            (6, 1),
+            (6, 7),
+            (7, 8),
+            (8, 9),
+        ],
+    )
+    .unwrap();
+    let central = strong_simulation(&pattern, &data, &MatchConfig::optimized());
+    assert!(!central.subgraphs.is_empty());
+    for sites in [1usize, 2, 3] {
+        for strategy in [PartitionStrategy::Hash, PartitionStrategy::Range] {
+            let out = distributed_strong_simulation(
+                &pattern,
+                &data,
+                &DistributedConfig {
+                    sites,
+                    strategy,
+                    minimize_query: true,
+                    ..DistributedConfig::default()
+                },
+            )
+            .expect("valid distributed config");
+            assert_eq!(
+                central.subgraphs, out.subgraphs,
+                "sites={sites} strategy={strategy:?}"
+            );
+        }
     }
 }
 
