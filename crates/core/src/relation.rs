@@ -164,16 +164,18 @@ impl MatchRelation {
     /// **local** id space: the result has `ball.node_count()` capacity, so per-ball
     /// refinement operates on ball-sized bitsets instead of `|V|`-sized ones.
     ///
-    /// Iterates the relation's pairs (not the ball members), so the cost is
-    /// `O(pair_count)` — after global dual simulation the surviving candidate sets are
-    /// typically far smaller than the ball.
+    /// Iterates the ball's members (local id = position) and tests each pattern node's
+    /// bit, so the cost is `O(|ball| · |Vq|)` whatever the size of the relation. On the
+    /// match-graph substrate every ball is a subset of `Gm` and every `Gm` node holds at
+    /// least one pair, so this never costs more than walking the relation's pairs by
+    /// more than a factor `|Vq|`, and usually far less: a ball covers a small part of
+    /// `Gm`.
     pub fn project_compact(&self, ball: &CompactBall) -> MatchRelation {
         let mut out = MatchRelation::empty(self.sim.len(), ball.node_count());
-        for (u, set) in self.sim.iter().enumerate() {
-            let u = NodeId::from_index(u);
-            for global in set.iter() {
-                if let Some(local) = ball.local_of(NodeId::from_index(global)) {
-                    out.insert(u, local);
+        for (set, out_set) in self.sim.iter().zip(&mut out.sim) {
+            for (local, global) in ball.to_global().iter().enumerate() {
+                if set.contains(global.index()) {
+                    out_set.insert(local);
                 }
             }
         }

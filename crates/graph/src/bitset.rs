@@ -107,6 +107,13 @@ impl BitSet {
         }
     }
 
+    /// The backing words: index `i` is bit `i % 64` of word `i / 64`, and bits at or
+    /// past the capacity are always clear.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Removes every bit.
     pub fn clear(&mut self) {
         self.words.fill(0);

@@ -12,7 +12,9 @@
 //! like any other graph — everything downstream works unchanged) together with the
 //! id-translation table back to the outer graph. Inner ids are assigned in ascending
 //! outer-id order, so the translation is **monotone**: sorted inner-id sequences stay
-//! sorted after translation, which lets result emission skip re-sorts.
+//! sorted after translation, which lets result emission skip re-sorts. It also makes an
+//! inner id the member's rank in the bitset, so the way in (outer → inner) is a rank
+//! query instead of a table sized to the outer graph.
 //!
 //! Unlike [`Graph::induced_subgraph`] — which routes through [`crate::builder::GraphBuilder`]
 //! and re-sorts every adjacency list — the extraction here copies straight CSR-to-CSR:
@@ -35,8 +37,49 @@ pub struct ExtractedSubgraph {
     graph: Graph,
     /// Inner id → outer id (ascending).
     to_outer: Vec<NodeId>,
-    /// Outer id → inner id (`u32::MAX` = not a member).
-    inner: Vec<u32>,
+    /// Outer id → inner id: the inner id of a member is its rank among the members.
+    inner: RankDirectory,
+}
+
+/// Rank queries over a membership bitset: the rank of member `i` is the number of
+/// members below it, which is exactly its inner id. One `u32` prefix count per 64-bit
+/// word makes a query one word read plus a popcount, so the table costs ~0.19 B per
+/// outer node (the bitset's 1 bit plus 32 bits per 64 nodes) instead of a `u32` per
+/// outer node.
+#[derive(Debug, Clone)]
+struct RankDirectory {
+    members: BitSet,
+    /// `prefix[w]` = number of members in words `0..w`.
+    prefix: Vec<u32>,
+}
+
+impl RankDirectory {
+    fn new(members: &BitSet) -> Self {
+        let mut total = 0u32;
+        let prefix = members
+            .words()
+            .iter()
+            .map(|w| {
+                let before = total;
+                total += w.count_ones();
+                before
+            })
+            .collect();
+        RankDirectory {
+            members: members.clone(),
+            prefix,
+        }
+    }
+
+    /// Rank of `index` among the members, or `None` when it is not a member.
+    #[inline]
+    fn rank(&self, index: usize) -> Option<u32> {
+        if !self.members.contains(index) {
+            return None;
+        }
+        let below = self.members.words()[index / 64] & ((1u64 << (index % 64)) - 1);
+        Some(self.prefix[index / 64] + below.count_ones())
+    }
 }
 
 impl ExtractedSubgraph {
@@ -58,12 +101,8 @@ impl ExtractedSubgraph {
             "membership bitset must cover the outer graph"
         );
         let n = members.len();
-        let mut to_outer: Vec<NodeId> = Vec::with_capacity(n);
-        let mut inner: Vec<u32> = vec![u32::MAX; outer.id_space()];
-        for (i, m) in members.iter().enumerate() {
-            inner[m] = i as u32;
-            to_outer.push(NodeId::from_index(m));
-        }
+        let to_outer: Vec<NodeId> = members.iter().map(NodeId::from_index).collect();
+        let inner = RankDirectory::new(members);
         let mut labels: Vec<Label> = Vec::with_capacity(n);
         // Counting pass: surviving out-/in-degrees per member.
         let mut fwd_offsets: Vec<usize> = Vec::with_capacity(n + 1);
@@ -75,11 +114,11 @@ impl ExtractedSubgraph {
             labels.push(outer.label(o));
             fwd_total += outer
                 .out_neighbors(o)
-                .filter(|t| inner[t.index()] != u32::MAX)
+                .filter(|t| members.contains(t.index()))
                 .count();
             rev_total += outer
                 .in_neighbors(o)
-                .filter(|s| inner[s.index()] != u32::MAX)
+                .filter(|s| members.contains(s.index()))
                 .count();
             fwd_offsets.push(fwd_total);
             rev_offsets.push(rev_total);
@@ -89,18 +128,16 @@ impl ExtractedSubgraph {
         let mut fwd_targets: Vec<NodeId> = Vec::with_capacity(fwd_total);
         let mut rev_targets: Vec<NodeId> = Vec::with_capacity(rev_total);
         for &o in &to_outer {
-            for t in outer.out_neighbors(o) {
-                let ti = inner[t.index()];
-                if ti != u32::MAX {
-                    fwd_targets.push(NodeId(ti));
-                }
-            }
-            for s in outer.in_neighbors(o) {
-                let si = inner[s.index()];
-                if si != u32::MAX {
-                    rev_targets.push(NodeId(si));
-                }
-            }
+            fwd_targets.extend(
+                outer
+                    .out_neighbors(o)
+                    .filter_map(|t| inner.rank(t.index()).map(NodeId)),
+            );
+            rev_targets.extend(
+                outer
+                    .in_neighbors(o)
+                    .filter_map(|s| inner.rank(s.index()).map(NodeId)),
+            );
         }
         ExtractedSubgraph {
             graph: Graph::from_csr(labels, fwd_offsets, fwd_targets, rev_offsets, rev_targets),
@@ -143,13 +180,11 @@ impl ExtractedSubgraph {
         self.to_outer[inner.index()]
     }
 
-    /// Inner id of outer node `outer`, when it is a member. `O(1)`.
+    /// Inner id of outer node `outer`, when it is a member. `O(1)`: a rank query on
+    /// the membership bitset.
     #[inline]
     pub fn inner_of(&self, outer: NodeId) -> Option<NodeId> {
-        match self.inner.get(outer.index()) {
-            Some(&i) if i != u32::MAX => Some(NodeId(i)),
-            _ => None,
-        }
+        self.inner.rank(outer.index()).map(NodeId)
     }
 }
 
