@@ -13,11 +13,14 @@
 //!    engine ([`crate::dual_filter`]'s `refine_suspects` — the same capped-counter
 //!    cascade the per-ball worklist uses), and insertions run a **bounded candidate
 //!    re-admission**: a pair-level closure over `pattern adjacency × data adjacency`
-//!    from the inserted endpoints collects every label-eligible pair the new edges can
-//!    possibly have revived, which is then re-verified by the same suspect cascade.
-//!    The closure is exact — a superset of the true fixpoint gain (see
-//!    [`update_global_fixpoint`] for the argument) — and budgeted: floods fall back to a
-//!    from-scratch fixpoint, mirroring the warm matcher's flood bail.
+//!    from the inserted endpoints collects every pair the new edges can possibly have
+//!    revived, which is then re-verified by the same suspect cascade. The closure admits
+//!    only pairs that pass the start-relation test of [`crate::dual::dual_candidates`]
+//!    on the post-delta graph (label and neighbour-label signature), so it stays near
+//!    the true gain instead of flooding every label-eligible pair. It is exact — a
+//!    superset of the true fixpoint gain (see [`update_global_fixpoint`] for the
+//!    argument) — and budgeted: floods fall back to a from-scratch fixpoint, mirroring
+//!    the warm matcher's flood bail.
 //! 2. **`Gm` re-extraction policy.** The match-graph substrate re-extracts `Gm` only
 //!    when the matched-node set changed or a delta edge lands inside it; otherwise the
 //!    cached extraction (and its id translation) is reused and only the renumbered
@@ -54,8 +57,8 @@ use crate::strong::{
 };
 use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
 use ssim_graph::{
-    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphEpoch, GraphError, NodeId,
-    OverlayGraph, Pattern,
+    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphEpoch, GraphError, LabelSignature,
+    NodeId, OverlayGraph, Pattern,
 };
 use std::collections::VecDeque;
 
@@ -132,9 +135,91 @@ pub struct FixpointUpdate {
     pub pairs_gained: usize,
     /// Pairs present before the update that are absent after.
     pub pairs_lost: usize,
+    /// Pairs the insertion re-admission closure admitted ([`Readmission::admitted`]):
+    /// the closure's work, of which `pairs_gained` survived the suspect cascade.
+    pub pairs_admitted: usize,
     /// The re-admission closure flooded and the fixpoint was recomputed from scratch
     /// (still exact; the budget only bounds the incremental path's work).
     pub recomputed: bool,
+}
+
+/// The insertion re-admission closure of one delta; see [`readmission_closure`].
+pub struct Readmission {
+    /// The admitted pairs; none of them is in the old fixpoint.
+    pub admitted: MatchRelation,
+    /// The closure passed its budget and stopped: `admitted` is partial, and
+    /// [`update_global_fixpoint`] recomputes the fixpoint from scratch instead.
+    pub flooded: bool,
+}
+
+/// The insertion half of [`update_global_fixpoint`]: starting from the pairs on inserted
+/// endpoints and propagating through `pattern adjacency × data adjacency`, collects every
+/// pair outside `old` that the insertions can have revived.
+///
+/// A pair `(u, w)` is admitted, as a seed or during propagation, only when it passes the
+/// start-relation test of [`crate::dual::dual_candidates`] on `new_data`: `w` carries
+/// `u`'s label and `new_data.neighbor_label_signature(w)` covers `u`'s signature in the
+/// pattern graph. `new_data` must be the **post**-delta graph;
+/// [`update_global_fixpoint`] gives the argument that the cut closure is still exact.
+///
+/// The budget bounds the admitted pairs at roughly the relation's own size plus a
+/// per-op allowance. It counts only pairs that passed the signature test, so a flood
+/// means the insertions revived a region of plausible candidates comparable to the
+/// whole relation, where a scratch fixpoint does the same work with better constants.
+pub fn readmission_closure<V: AdjView>(
+    pattern: &Pattern,
+    new_data: &V,
+    delta: &GraphDelta,
+    old: &MatchRelation,
+) -> Readmission {
+    let q = pattern.graph();
+    let need: Vec<LabelSignature> = pattern.nodes().map(|u| q.label_signature(u)).collect();
+    let eligible = |u: NodeId, w: NodeId| {
+        pattern.label(u) == new_data.label(w)
+            && !old.contains(u, w)
+            && new_data.neighbor_label_signature(w).covers(need[u.index()])
+    };
+    let budget = 2 * old.pair_count() + 16 * delta.op_count() * pattern.node_count() + 256;
+    let mut admitted = MatchRelation::empty(pattern.node_count(), new_data.id_space());
+    let mut pairs = 0usize;
+    let mut queue: VecDeque<(NodeId, NodeId)> = VecDeque::new();
+    let seeds = delta.inserted_edges().flat_map(|(v, w)| {
+        q.edges()
+            .flat_map(move |(u, u_child)| [(u, v), (u_child, w)])
+    });
+    for (u, w) in seeds {
+        if eligible(u, w) && admitted.insert(u, w) {
+            pairs += 1;
+            queue.push_back((u, w));
+        }
+    }
+    while let Some((u, w)) = queue.pop_front() {
+        if pairs > budget {
+            return Readmission {
+                admitted,
+                flooded: true,
+            };
+        }
+        // (u, w)'s presence can revive child support of in-neighbour pairs under
+        // pattern in-edges of u, and parent support of out-neighbour pairs under
+        // pattern out-edges of u.
+        let parents = q
+            .in_neighbors(u)
+            .flat_map(|u2| new_data.in_neighbors(w).map(move |w2| (u2, w2)));
+        let children = q
+            .out_neighbors(u)
+            .flat_map(|u3| new_data.out_neighbors(w).map(move |w3| (u3, w3)));
+        for (u2, w2) in parents.chain(children) {
+            if eligible(u2, w2) && admitted.insert(u2, w2) {
+                pairs += 1;
+                queue.push_back((u2, w2));
+            }
+        }
+    }
+    Readmission {
+        admitted,
+        flooded: false,
+    }
 }
 
 /// Maintains the exact global dual-simulation fixpoint across one [`GraphDelta`].
@@ -142,8 +227,8 @@ pub struct FixpointUpdate {
 /// `old` must be the exact fixpoint of `pattern` over the pre-delta graph and
 /// `new_data` the post-delta graph. Deletions can only *remove* pairs: each deleted data
 /// edge seeds the pairs on its endpoints as suspects of the removal cascade. Insertions
-/// can only *add* pairs: the re-admission closure collects, starting from the
-/// label-eligible pairs on inserted endpoints and propagating through
+/// can only *add* pairs: the re-admission closure ([`readmission_closure`]) collects,
+/// starting from the eligible pairs on inserted endpoints and propagating through
 /// `pattern adjacency × data adjacency`, every pair the insertions can have revived.
 ///
 /// **Exactness.** Let `M` be the true fixpoint over `new_data`, `R` the old fixpoint and
@@ -155,6 +240,17 @@ pub struct FixpointUpdate {
 /// over the *old* graph and contradicting `R`'s maximality. Hence `M ⊆ R ∪ B`, and the
 /// suspect cascade (which verifies every admitted pair and every deletion-affected pair,
 /// and re-checks neighbours of each removal) refines `R ∪ B` down to exactly `M`.
+///
+/// **Signature step.** The closure admits only pairs that pass the neighbour-label
+/// signature test of `new_data`. Every pair of `M` passes it: it has a witness neighbour
+/// with the right label for each pattern edge in the post-delta graph, and a post-delta
+/// signature covers the labels of all post-delta neighbours (an [`OverlayGraph`]'s adds
+/// the labels of inserted patch entries to its base signature and keeps the stale bits
+/// of tombstoned edges, which only lets more pairs through). The argument above only
+/// ever steps through pairs of `M \ R`, so cutting the closure at failing pairs still
+/// reaches all of them, and `M ⊆ R ∪ B` holds for the cut closure too. The signature
+/// must be read from the **post**-delta graph: a pre-delta signature lacks the labels
+/// that only inserted edges bring, and would cut pairs of `M \ R`.
 pub fn update_global_fixpoint<V: AdjView>(
     pattern: &Pattern,
     new_data: &V,
@@ -163,7 +259,6 @@ pub fn update_global_fixpoint<V: AdjView>(
     strategy: RefineStrategy,
 ) -> FixpointUpdate {
     let n = new_data.id_space();
-    let q = pattern.graph();
     let mut rel = old.clone();
     let mut suspects: Vec<(NodeId, NodeId)> = Vec::new();
 
@@ -178,65 +273,11 @@ pub fn update_global_fixpoint<V: AdjView>(
         }
     }
 
-    // Insertions: bounded candidate re-admission. `admitted` doubles as the dedup set
-    // and the record of what to splice in; the budget bounds the closure at roughly the
-    // relation's own size before bailing to a scratch fixpoint — a flood means the
-    // insertions revived a region comparable to the whole relation, where scratch
-    // refinement does the same work with better constants.
-    let mut admitted = MatchRelation::empty(pattern.node_count(), n);
-    let mut admit_count = 0usize;
-    let budget = 2 * old.pair_count() + 16 * delta.op_count() * pattern.node_count() + 256;
-    let mut queue: VecDeque<(NodeId, NodeId)> = VecDeque::new();
-    let mut flooded = false;
-    for (v, w) in delta.inserted_edges() {
-        for (u, u_child) in q.edges() {
-            for (pu, pv) in [(u, v), (u_child, w)] {
-                if pattern.label(pu) == new_data.label(pv)
-                    && !rel.contains(pu, pv)
-                    && admitted.insert(pu, pv)
-                {
-                    admit_count += 1;
-                    queue.push_back((pu, pv));
-                }
-            }
-        }
-    }
-    while let Some((u, w)) = queue.pop_front() {
-        if admit_count > budget {
-            flooded = true;
-            break;
-        }
-        // (u, w)'s presence can revive child support of in-neighbour pairs under
-        // pattern in-edges of u…
-        for u2 in q.in_neighbors(u) {
-            for w2 in new_data.in_neighbors(w) {
-                if pattern.label(u2) == new_data.label(w2)
-                    && !rel.contains(u2, w2)
-                    && admitted.insert(u2, w2)
-                {
-                    admit_count += 1;
-                    queue.push_back((u2, w2));
-                }
-            }
-        }
-        // …and parent support of out-neighbour pairs under pattern out-edges of u.
-        for u3 in q.out_neighbors(u) {
-            for w3 in new_data.out_neighbors(w) {
-                if pattern.label(u3) == new_data.label(w3)
-                    && !rel.contains(u3, w3)
-                    && admitted.insert(u3, w3)
-                {
-                    admit_count += 1;
-                    queue.push_back((u3, w3));
-                }
-            }
-        }
-    }
-
-    let relation = if flooded {
+    let readmission = readmission_closure(pattern, new_data, delta, old);
+    let relation = if readmission.flooded {
         global_fixpoint(pattern, new_data, strategy)
     } else {
-        for (u, w) in admitted.pairs() {
+        for (u, w) in readmission.admitted.pairs() {
             rel.insert(u, w);
             suspects.push((u, w));
         }
@@ -267,7 +308,8 @@ pub fn update_global_fixpoint<V: AdjView>(
         changed_nodes,
         pairs_gained,
         pairs_lost,
-        recomputed: flooded,
+        pairs_admitted: readmission.admitted.pair_count(),
+        recomputed: readmission.flooded,
     }
 }
 
@@ -281,6 +323,8 @@ pub struct DeltaEffect {
     pub pairs_gained: usize,
     /// See [`FixpointUpdate::pairs_lost`] (0 without `dual_filter`).
     pub pairs_lost: usize,
+    /// See [`FixpointUpdate::pairs_admitted`] (0 without `dual_filter`).
+    pub pairs_admitted: usize,
     /// See [`FixpointUpdate::recomputed`].
     pub relation_recomputed: bool,
     /// The `Gm` extraction was rebuilt (matched set changed, or a delta edge landed
@@ -340,6 +384,8 @@ pub struct PatternEffect {
     pub pairs_gained: usize,
     /// See [`FixpointUpdate::pairs_lost`] (0 without `dual_filter`).
     pub pairs_lost: usize,
+    /// See [`FixpointUpdate::pairs_admitted`] (0 without `dual_filter`).
+    pub pairs_admitted: usize,
     /// See [`FixpointUpdate::recomputed`].
     pub relation_recomputed: bool,
     /// See [`DeltaEffect::gm_reextracted`].
@@ -435,6 +481,7 @@ impl PatternState {
             dirty: BitSet::new(n),
             pairs_gained: 0,
             pairs_lost: 0,
+            pairs_admitted: 0,
             relation_recomputed: false,
             gm_reextracted: false,
         };
@@ -457,6 +504,7 @@ impl PatternState {
             touched.union_with(&up.changed_nodes);
             effect.pairs_gained = up.pairs_gained;
             effect.pairs_lost = up.pairs_lost;
+            effect.pairs_admitted = up.pairs_admitted;
             effect.relation_recomputed = up.recomputed;
             let fix = up.relation;
             fix.matched_data_nodes_into(&mut self.matched);
@@ -647,6 +695,7 @@ impl IncrementalState {
             dirty: eff.dirty,
             pairs_gained: eff.pairs_gained,
             pairs_lost: eff.pairs_lost,
+            pairs_admitted: eff.pairs_admitted,
             relation_recomputed: eff.relation_recomputed,
             gm_reextracted: eff.gm_reextracted,
             compacted: self.data.compactions() > compactions_before,
@@ -730,6 +779,9 @@ pub struct UpdateStats {
     pub pairs_gained: usize,
     /// Global-relation pairs the update removed (`dual_filter` only).
     pub pairs_lost: usize,
+    /// Pairs the insertion re-admission closure admitted for re-verification
+    /// (`dual_filter` only): the closure's work, next to the `pairs_gained` it found.
+    pub pairs_admitted: usize,
     /// The insertion re-admission closure flooded and the global fixpoint was
     /// recomputed from scratch.
     pub relation_recomputed: bool,
@@ -931,6 +983,7 @@ impl IncrementalMatcher {
                     clean_balls: if bailed { 0 } else { n - effect.dirty.len() },
                     pairs_gained: effect.pairs_gained,
                     pairs_lost: effect.pairs_lost,
+                    pairs_admitted: effect.pairs_admitted,
                     relation_recomputed: effect.relation_recomputed,
                     gm_reextracted: effect.gm_reextracted,
                     dirty_bailed: bailed,
@@ -1233,7 +1286,7 @@ pub(crate) fn refreshed_pattern_stats(
 mod tests {
     use super::*;
     use crate::strong::strong_simulation;
-    use ssim_graph::Label;
+    use ssim_graph::{CompactionPolicy, Label};
 
     /// Chain data with alternating labels and a path pattern — small enough to reason
     /// about, rich enough that deltas move matches around.
@@ -1359,6 +1412,72 @@ mod tests {
             original.to_sorted_pairs(),
             "round trip"
         );
+    }
+
+    /// Maintains the fixpoint of `pattern` over `data` across `delta`, on a flat rebuild
+    /// and on a never-compacting overlay, checks both against a scratch fixpoint, and
+    /// returns the overlay run.
+    fn maintain_on_both_substrates(
+        pattern: &Pattern,
+        data: &Graph,
+        delta: &GraphDelta,
+    ) -> FixpointUpdate {
+        let old = global_fixpoint(pattern, data, RefineStrategy::Worklist);
+        let flat = data.apply_delta(delta).unwrap();
+        let mut overlay = OverlayGraph::with_policy(data.clone(), CompactionPolicy::never());
+        overlay.apply_delta(delta).unwrap();
+        let scratch = global_fixpoint(pattern, &flat, RefineStrategy::Worklist).to_sorted_pairs();
+        let on_flat = update_global_fixpoint(pattern, &flat, delta, &old, RefineStrategy::Worklist);
+        let on_overlay =
+            update_global_fixpoint(pattern, &overlay, delta, &old, RefineStrategy::Worklist);
+        assert_eq!(on_flat.relation.to_sorted_pairs(), scratch, "flat");
+        assert_eq!(on_overlay.relation.to_sorted_pairs(), scratch, "overlay");
+        assert_eq!(on_flat.pairs_admitted, on_overlay.pairs_admitted);
+        on_overlay
+    }
+
+    #[test]
+    fn closure_skips_label_eligible_pairs_without_a_required_neighbour_label() {
+        // Pattern: the cycle A -> B -> C -> A, matched by the data cycle 0 -> 1 -> 2 -> 0.
+        let pattern = Pattern::from_edges(
+            vec![Label(0), Label(1), Label(2)],
+            &[(0, 1), (1, 2), (2, 0)],
+        )
+        .unwrap();
+        let data = Graph::from_edges(
+            vec![Label(0), Label(1), Label(2), Label(0), Label(1)],
+            &[(0, 1), (1, 2), (2, 0)],
+        )
+        .unwrap();
+        // Inserting 3 -> 4 makes (A, 3) and (B, 4) label-eligible seeds, but 3 has no
+        // C parent and 4 no C child, so neither passes the post-delta signature test.
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(NodeId(3), NodeId(4));
+        let up = maintain_on_both_substrates(&pattern, &data, &delta);
+        assert_eq!(up.pairs_admitted, 0, "the signature test cuts every seed");
+        assert_eq!((up.pairs_gained, up.pairs_lost), (0, 0));
+        assert!(!up.recomputed);
+    }
+
+    #[test]
+    fn closure_admits_a_pair_whose_only_witness_label_arrives_with_the_insertion() {
+        // Pattern A -> B, matched by 0 -> 1; nodes 2 (A) and 3 (B) have no edges yet.
+        let pattern = Pattern::from_edges(vec![Label(0), Label(1)], &[(0, 1)]).unwrap();
+        let data =
+            Graph::from_edges(vec![Label(0), Label(1), Label(0), Label(1)], &[(0, 1)]).unwrap();
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(NodeId(2), NodeId(3));
+        // The overlay's signature of 2 carries B only through the inserted patch entry.
+        let need = pattern.graph().label_signature(NodeId(0));
+        let mut overlay = OverlayGraph::with_policy(data.clone(), CompactionPolicy::never());
+        assert!(!overlay.neighbor_label_signature(NodeId(2)).covers(need));
+        overlay.apply_delta(&delta).unwrap();
+        assert!(overlay.neighbor_label_signature(NodeId(2)).covers(need));
+        let up = maintain_on_both_substrates(&pattern, &data, &delta);
+        assert_eq!(up.pairs_admitted, 2, "(A, 2) and (B, 3)");
+        assert_eq!(up.pairs_gained, 2);
+        assert!(up.relation.contains(NodeId(0), NodeId(2)));
+        assert!(up.relation.contains(NodeId(1), NodeId(3)));
     }
 
     #[test]

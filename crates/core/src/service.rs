@@ -569,6 +569,7 @@ impl QueryService {
                 clean_balls: if bailed { 0 } else { n - effect.dirty.len() },
                 pairs_gained: effect.pairs_gained,
                 pairs_lost: effect.pairs_lost,
+                pairs_admitted: effect.pairs_admitted,
                 relation_recomputed: effect.relation_recomputed,
                 gm_reextracted: effect.gm_reextracted,
                 dirty_bailed: bailed,

@@ -29,13 +29,19 @@ mod common;
 use common::{data_graph, pattern, random_delta};
 use proptest::prelude::*;
 use ssim_core::ball::{BallStrategy, BallSubstrate};
-use ssim_core::incremental::{global_fixpoint, update_global_fixpoint, IncrementalMatcher};
+use ssim_core::incremental::{
+    global_fixpoint, readmission_closure, update_global_fixpoint, FixpointUpdate,
+    IncrementalMatcher,
+};
 use ssim_core::simulation::{RefineSeed, RefineStrategy};
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::UpdatePlan;
+use ssim_core::{MatchRelation, UpdatePlan};
+use ssim_datasets::patterns::extract_pattern;
 use ssim_distributed::{DistributedConfig, IncrementalDistributed, PartitionStrategy};
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
-use ssim_graph::{Graph, GraphDelta, Label, NodeId, Pattern};
+use ssim_graph::{
+    AdjView, CompactionPolicy, Graph, GraphDelta, Label, NodeId, OverlayGraph, Pattern,
+};
 
 /// Asserts two match outputs agree on every subgraph bit. Work stats are excluded by
 /// design: the incremental plan processes only dirty balls, so the ball counters differ
@@ -98,40 +104,123 @@ fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
     ]
 }
 
+/// The insertion re-admission closure as it was before the signature test: every
+/// label-eligible pair outside `old` reachable from the inserted endpoints through
+/// `pattern adjacency × data adjacency`, without a budget. The reference the signature-cut
+/// closure must stay inside.
+fn label_only_closure<V: AdjView>(
+    q: &Pattern,
+    data: &V,
+    delta: &GraphDelta,
+    old: &MatchRelation,
+) -> MatchRelation {
+    let eligible = |u: NodeId, w: NodeId| q.label(u) == data.label(w) && !old.contains(u, w);
+    let mut admitted = MatchRelation::empty(q.node_count(), data.id_space());
+    let mut queue = Vec::new();
+    for (v, w) in delta.inserted_edges() {
+        for (u, u_child) in q.graph().edges() {
+            queue.extend([(u, v), (u_child, w)]);
+        }
+    }
+    while let Some((u, w)) = queue.pop() {
+        if !eligible(u, w) || !admitted.insert(u, w) {
+            continue;
+        }
+        for u2 in q.graph().in_neighbors(u) {
+            queue.extend(data.in_neighbors(w).map(|w2| (u2, w2)));
+        }
+        for u3 in q.graph().out_neighbors(u) {
+            queue.extend(data.out_neighbors(w).map(|w3| (u3, w3)));
+        }
+    }
+    admitted
+}
+
+/// Checks `M \ R ⊆ pruned ⊆ label-only` for the closure [`update_global_fixpoint`] ran
+/// on `new_data`, where `M` is the scratch fixpoint and `R` the old one. A flooded
+/// closure is partial, so only its upper bound holds.
+fn check_closure_bounds<V: AdjView>(
+    q: &Pattern,
+    new_data: &V,
+    delta: &GraphDelta,
+    old: &MatchRelation,
+    scratch: &MatchRelation,
+    up: &FixpointUpdate,
+) -> Result<(), String> {
+    let pruned = readmission_closure(q, new_data, delta, old);
+    prop_assert!(up.pairs_admitted == pruned.admitted.pair_count());
+    prop_assert!(up.recomputed == pruned.flooded);
+    let label_only = label_only_closure(q, new_data, delta, old);
+    prop_assert!(
+        pruned.admitted.is_subrelation_of(&label_only),
+        "the signature-cut closure left the label-only closure"
+    );
+    if !pruned.flooded {
+        for (u, v) in scratch.pairs().filter(|&(u, v)| !old.contains(u, v)) {
+            prop_assert!(
+                pruned.admitted.contains(u, v),
+                "gained pair ({}, {}) was never admitted",
+                u,
+                v
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Relation layer: the maintained global fixpoint equals a from-scratch fixpoint
     /// after every delta of a stream, on arbitrary edge soup (the harshest shapes for
-    /// the re-admission closure and the suspect cascade).
+    /// the re-admission closure and the suspect cascade), both on flat rebuilds and on
+    /// an overlay, whose signatures carry inserted-label bits and stale tombstone bits.
+    /// Half the patterns are cut from the graph, so the fixpoint is non-empty and the
+    /// closure has pairs to revive. On both substrates the closure is bounded on both
+    /// sides: `M \ R ⊆ pruned ⊆ label-only`.
     #[test]
     fn maintained_fixpoint_equals_scratch(
         data in data_graph(),
         q in pattern(),
+        cut in any::<bool>(),
+        seed in any::<u64>(),
         stream in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 1..8), 1..5),
     ) {
+        let q = if cut { extract_pattern(&data, q.node_count(), seed).unwrap_or(q) } else { q };
+        let mut overlay = OverlayGraph::with_policy(data.clone(), CompactionPolicy::never());
         let mut graph = data;
         let mut fix = global_fixpoint(&q, &graph, RefineStrategy::Worklist);
         for (i, picks) in stream.iter().enumerate() {
             let delta = random_delta(&graph, picks);
             let new_graph = graph.apply_delta(&delta).expect("random_delta validates");
-            let up = update_global_fixpoint(&q, &new_graph, &delta, &fix, RefineStrategy::Worklist);
+            overlay.apply_delta(&delta).expect("random_delta validates");
             let scratch = global_fixpoint(&q, &new_graph, RefineStrategy::Worklist);
-            prop_assert!(
-                up.relation.to_sorted_pairs() == scratch.to_sorted_pairs(),
-                "step {} ({} ops): maintained {:?} vs scratch {:?}",
-                i,
-                delta.op_count(),
-                up.relation.to_sorted_pairs(),
-                scratch.to_sorted_pairs()
-            );
+            let flat_up =
+                update_global_fixpoint(&q, &new_graph, &delta, &fix, RefineStrategy::Worklist);
+            let overlay_up =
+                update_global_fixpoint(&q, &overlay, &delta, &fix, RefineStrategy::Worklist);
+            for (substrate, up) in [("flat", &flat_up), ("overlay", &overlay_up)] {
+                prop_assert!(
+                    up.relation.to_sorted_pairs() == scratch.to_sorted_pairs(),
+                    "step {} ({} ops, {}): maintained {:?} vs scratch {:?}",
+                    i,
+                    delta.op_count(),
+                    substrate,
+                    up.relation.to_sorted_pairs(),
+                    scratch.to_sorted_pairs()
+                );
+            }
+            check_closure_bounds(&q, &new_graph, &delta, &fix, &scratch, &flat_up)
+                .map_err(|e| format!("step {i} (flat): {e}"))?;
+            check_closure_bounds(&q, &overlay, &delta, &fix, &scratch, &overlay_up)
+                .map_err(|e| format!("step {i} (overlay): {e}"))?;
             // The changed-node set covers every data node whose candidacy flipped.
             for u in q.nodes() {
                 for v in new_graph.nodes() {
                     if fix.contains(u, v) != scratch.contains(u, v) {
                         prop_assert!(
-                            up.changed_nodes.contains(v.index()),
+                            flat_up.changed_nodes.contains(v.index()),
                             "step {}: unreported change at {}", i, v
                         );
                     }
